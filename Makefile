@@ -86,18 +86,18 @@ fuzz-smoke:
 # The executor differential fuzzer against every registered backend
 # (the 200-seed-per-backend campaigns are `python tools/irfuzz.py
 # --mode exec --count 200 --backend <name>`); forced tiling exercises
-# the sharded code path even on small fuzz kernels.
+# the sharded code path even on small fuzz kernels, at 1 (serial) to 5
+# workers.
 fuzz-exec-smoke:
 	$(PYTHON) tools/irfuzz.py --mode exec --count 15 --backend compiled \
 		--quiet
-	$(PYTHON) tools/irfuzz.py --mode exec --count 15 \
-		--backend compiled-parallel --quiet
-	REPRO_TILE_THRESHOLD=1 REPRO_JOBS=3 $(PYTHON) tools/irfuzz.py \
-		--mode exec --count 10 --backend compiled-parallel --quiet
+	for jobs in 1 2 3 5; do \
+		REPRO_TILE_THRESHOLD=1 REPRO_JOBS=$$jobs $(PYTHON) \
+			tools/irfuzz.py --mode exec --count 10 \
+			--backend compiled --quiet || exit 1; \
+	done
 	$(PYTHON) tools/irfuzz.py --mode exec --count 15 --backend cbackend \
 		--quiet
-	$(PYTHON) tools/irfuzz.py --mode exec --count 15 \
-		--backend compiled-arena --quiet
 
 # The abstract-interpretation cross-checker: typed verification of every
 # lowering stage plus inferred-vs-executed shape/dtype agreement (the
@@ -130,7 +130,8 @@ coverage:
 # and a missing ruff is tolerated (the container may not ship it).  The
 # mypy gate on the analysis + arena planner modules and the telemetry
 # package IS blocking when mypy is available: those files stay fully
-# annotated and clean.
+# annotated and clean; a missing mypy skips it with a loud warning on
+# stderr (the target still succeeds).
 lint:
 	-@$(PYTHON) -m ruff check src tests benchmarks tools examples \
 		2>/dev/null || echo "lint: ruff unavailable or reported" \
@@ -145,7 +146,8 @@ lint:
 			src/repro/telemetry/log.py \
 			src/repro/telemetry/__init__.py; \
 	else \
-		echo "lint: mypy unavailable (gate skipped)"; \
+		echo "WARNING: mypy gate SKIPPED (mypy unavailable): the" \
+			"annotated-module contract was not checked" >&2; \
 	fi
 
 docs-check:

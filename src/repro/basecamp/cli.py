@@ -174,12 +174,10 @@ def _cmd_run(args) -> int:
                              jobs=getattr(args, "jobs", None))
     kernel = result.kernel
     note = f" [fell back: {kernel.fallback}]" if kernel.fallback else ""
-    arena = f", arena={kernel.arena_bytes}B/{kernel.arena_slots} slots" \
-        if kernel.arena_bytes else ""
     print(f"kernel {kernel.func_name}: backend={kernel.backend} "
           f"({kernel.vectorized_nests} vectorized / "
-          f"{kernel.scalar_nests} scalar nest(s), {kernel.flops} flops"
-          f"{arena}){note}")
+          f"{kernel.scalar_nests} scalar nest(s), {kernel.flops} flops)"
+          f"{note}")
     for name, value in result.outputs.items():
         value = np.asarray(value)
         flat = np.array2string(value.ravel()[:6], precision=6,
@@ -405,12 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "integers zero")
     p.add_argument("--backend", default="compiled",
                    help="executor backend name (resolved through the "
-                        "registry: interpreter, compiled, "
-                        "compiled-parallel, compiled-arena, cbackend, "
+                        "registry: interpreter, compiled, cbackend, "
                         "...); an unknown name lists the registered ones")
     p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker-pool size for the compiled-parallel "
-                        "backend (default: REPRO_JOBS or the CPU count, "
+                   help="tile worker-pool size for the compiled backend; "
+                        "large nests shard across N workers, 1 runs "
+                        "serially (default: REPRO_JOBS or the CPU count, "
                         "capped at 8)")
     p.add_argument("--opt-level", type=int, choices=[0, 1, 2], default=1,
                    help="0: raw lowering, 1: canonicalize (fold/DCE/CSE), "

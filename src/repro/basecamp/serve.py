@@ -61,6 +61,7 @@ from repro.telemetry.export import prometheus_text
 from repro.telemetry.log import get_logger
 from repro.telemetry.metrics import MetricsRegistry, get_registry
 from repro.telemetry.trace import get_tracer
+from repro.tensorpipe.parallel import MAX_JOBS, pool_size, resolve_jobs
 
 _LOG = get_logger("serve")
 
@@ -214,6 +215,15 @@ class BasecampService:
             raise EverestError(f"opt_level must be 0, 1 or 2, got {level!r}")
         return level
 
+    @staticmethod
+    def _jobs(payload: Dict[str, Any]) -> Optional[int]:
+        # A tenant's jobs sizes the tile pool every tenant shares, so cap
+        # it where the default (CPU count) is capped.
+        jobs = payload.get("jobs")
+        if jobs is not None and resolve_jobs(jobs) > MAX_JOBS:
+            raise EverestError(f"jobs must be <= {MAX_JOBS}, got {jobs}")
+        return jobs
+
     def _compile(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         result = self.session.compile(
             self._source_of(payload),
@@ -241,7 +251,7 @@ class BasecampService:
         source = self._source_of(payload)
         opt_level = self._opt_level(payload)
         backend = payload.get("backend", "compiled")
-        jobs = payload.get("jobs")
+        jobs = self._jobs(payload)
         seed = payload.get("random_seed")
         explicit = payload.get("inputs") or {}
         if not isinstance(explicit, dict):
@@ -305,8 +315,6 @@ class BasecampService:
 
     def _refresh_gauges(self) -> None:
         """Sample point-in-time state into the gauges (scrape time)."""
-        from repro.tensorpipe.parallel import pool_size
-
         cache = self.session.cache
         flight = self.session.singleflight
         with self._lock:

@@ -83,9 +83,8 @@ class KernelReport:
     #: Peak on-chip scratch footprint of the kernel's local buffers under
     #: the static arena plan (:func:`repro.tensorpipe.arena.plan_arena`):
     #: lifetime-disjoint ``memref.alloc`` buffers share bytes.  With the
-    #: default f64 format this equals the compiled ``compiled-arena``
-    #: executor's ``arena_bytes`` exactly; custom number formats rescale
-    #: it by their element widths.
+    #: default f64 format element widths are the numpy executors' dtype
+    #: sizes; custom number formats rescale it by their element widths.
     planned_arena_bytes: int = 0
     planned_arena_slots: int = 0
 
@@ -233,10 +232,9 @@ class HLSEngine:
     def _arena_element_bytes(self, element: T.Type) -> int:
         """Element width for the arena plan.
 
-        The default format plans exactly what the numpy executors
-        allocate (so ``planned_arena_bytes`` equals the
-        ``compiled-arena`` backend's footprint); a custom number format
-        substitutes its own storage widths.
+        The default format plans the element sizes the numpy executors
+        allocate; a custom number format substitutes its own storage
+        widths.
         """
         if self._format_type is None:
             return default_element_bytes(element)

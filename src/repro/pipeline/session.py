@@ -318,8 +318,8 @@ class PipelineSession:
         ``backend`` names any registered executor backend
         (:func:`repro.tensorpipe.backends.registered_backends`); an
         unknown name raises with the available ones.  ``jobs`` sizes the
-        ``compiled-parallel`` worker pool (None: ``REPRO_JOBS`` or the
-        CPU count capped at 8); other backends ignore it.
+        ``compiled`` backend's tile worker pool (None: ``REPRO_JOBS`` or
+        the CPU count capped at 8); other backends ignore it.
         """
         result = self.lower(source, opt_level=opt_level)
         key, kernel = self.run_stage(

@@ -16,19 +16,16 @@ classic static memory plan —
 
 Two buffers share bytes exactly when their live ranges are disjoint, so
 the resulting :class:`ArenaPlan` is correct by construction for any
-executor that runs top-level statements in program order — which all of
-ours do.  The compiled backend (``compiled-arena``) carves numpy views
-out of one ``np.empty(total_bytes, np.uint8)`` arena per run and
-re-establishes the ``memref.alloc`` zero-init contract
-(:data:`repro.ir.analysis.MEMREF_ALLOC_ZERO_INIT`) with an explicit
-``.fill(0)`` on every slot — slots are *reused*, so the fill is what
-keeps arena execution bitwise-identical to the per-buffer ``np.zeros``
-path.
+executor or accelerator that runs top-level statements in program
+order.  A consumer that reuses slots must re-establish the
+``memref.alloc`` zero-init contract
+(:data:`repro.ir.analysis.MEMREF_ALLOC_ZERO_INIT`) itself.
 
-The same planner backs the HLS engine's
-``KernelReport.planned_arena_bytes`` (with the number format's element
-widths via ``element_bytes``) and the Olympus PLM-sharing solver
-(:func:`repro.olympus.plm_sharing.requests_from_arena`).
+The plan backs the HLS engine's ``KernelReport.planned_arena_bytes``
+(with the number format's element widths via ``element_bytes``) and the
+Olympus PLM-sharing solver
+(:func:`repro.olympus.plm_sharing.requests_from_arena`).  The numpy
+executors keep one private ``np.zeros`` buffer per alloc.
 """
 
 from __future__ import annotations
@@ -89,15 +86,12 @@ class ArenaPlan:
     ``total_bytes`` is the arena's peak footprint; ``unshared_bytes`` is
     what per-buffer allocation would have used, so ``saving`` is the
     fraction of memory the liveness-based sharing reclaimed.
-    ``op_slots`` maps ``id(alloc_op)`` to its slot for the codegen that
-    planned against the same in-memory function.
     """
 
     func_name: str
     slots: List[ArenaSlot] = field(default_factory=list)
     total_bytes: int = 0
     unshared_bytes: int = 0
-    op_slots: Dict[int, ArenaSlot] = field(default_factory=dict, repr=False)
 
     @property
     def saving(self) -> float:
@@ -201,6 +195,5 @@ def plan_arena(
             dtype=str(ref.element),
         )
         plan.slots.append(slot)
-        plan.op_slots[id(op)] = slot
         plan.total_bytes = max(plan.total_bytes, offset + size)
     return plan

@@ -14,14 +14,10 @@ Stock backends:
 
 ==================  ==========================================================
 ``interpreter``     the reference tree-walking interpreter
-``compiled``        vectorized-numpy codegen (PR 4), one array op per nest
-``compiled-parallel``  the tiled variant: large nests shard their outer
-                    parallel axis across a worker pool
+``compiled``        vectorized-numpy codegen, one array op per nest;
+                    nests above the tile threshold shard their outer
+                    parallel axis across ``jobs`` workers
                     (:mod:`repro.tensorpipe.parallel`)
-``compiled-arena``  the statically planned variant: local buffers are
-                    views into one preallocated per-run arena
-                    (:mod:`repro.tensorpipe.arena`), sized by liveness
-                    over the entry block's ``memref.alloc`` ops
 ``cbackend``        generated C compiled via ``cc`` + ``ctypes`` at
                     cache-fill time; falls back cleanly to ``compiled``
                     when no C compiler exists or an op's libm result is
@@ -42,20 +38,16 @@ from repro.tensorpipe.codegen import CompiledKernel, compile_numpy
 
 
 class NumpyBackend:
-    """``interpreter`` / ``compiled`` / ``compiled-parallel`` /
-    ``compiled-arena``: thin registry wrappers over
+    """``interpreter`` / ``compiled``: thin registry wrappers over
     :func:`~repro.tensorpipe.codegen.compile_numpy`."""
 
-    def __init__(self, name: str, *, tiled: bool = False,
-                 arena: bool = False):
+    def __init__(self, name: str):
         self.name = name
-        self.tiled = tiled
-        self.arena = arena
 
     def compile(self, module: Module, func_name: str, *,
                 cache: bool = True) -> CompiledKernel:
         return compile_numpy(module, func_name, backend=self.name,
-                             tiled=self.tiled, arena=self.arena, cache=cache)
+                             cache=cache)
 
     def __repr__(self) -> str:
         return f"<backend {self.name}>"
@@ -104,8 +96,6 @@ def registered_backends() -> Dict[str, object]:
 
 register_backend(NumpyBackend("interpreter"))
 register_backend(NumpyBackend("compiled"))
-register_backend(NumpyBackend("compiled-parallel", tiled=True))
-register_backend(NumpyBackend("compiled-arena", arena=True))
 
 from repro.tensorpipe.cbackend import CBackend  # noqa: E402 (needs BACKENDS)
 

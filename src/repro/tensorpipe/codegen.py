@@ -40,16 +40,13 @@ from repro.tensorpipe.affine_interp import (
     _dtype_for,
     bind_buffers,
 )
-from repro.tensorpipe.arena import ArenaPlan, plan_arena
+from repro.tensorpipe.parallel import make_tile
 
 # Process-wide codegen metrics (the serve daemon exports them under
 # GET /metrics; see docs/observability.md for the naming rules).
 _CACHE_EVENTS = get_registry().counter(
     "repro_codegen_cache_total",
     "Compile-cache lookups of the numpy codegen backends", ("result",))
-_ARENA_BYTES = get_registry().gauge(
-    "repro_arena_planned_bytes",
-    "Planned static-arena footprint of the latest compiled-arena kernel")
 
 
 class UnsupportedAffineOp(EverestError):
@@ -169,8 +166,6 @@ class CompiledKernel:
     vectorized_nests: int = 0
     scalar_nests: int = 0
     tileable_nests: int = 0
-    arena_bytes: int = 0
-    arena_slots: int = 0
     fallback: str = ""
     _func: Optional[Operation] = field(default=None, repr=False)
     _fn: Optional[object] = field(default=None, repr=False)
@@ -179,20 +174,18 @@ class CompiledKernel:
 
     def run(self, inputs: Mapping[str, np.ndarray], *,
             jobs: Optional[int] = None) -> Dict[str, np.ndarray]:
-        """Execute over ``inputs``.  ``jobs`` sizes the worker pool of the
-        ``compiled-parallel`` backend (None: ``REPRO_JOBS`` or the CPU
-        count, capped at 8); other backends ignore it."""
+        """Execute over ``inputs``.  ``jobs`` sizes the tile worker pool
+        of the numpy source (None: ``REPRO_JOBS`` or the CPU count, capped
+        at 8); nests below the tile threshold, and every nest at
+        ``jobs=1``, run serially.  The interpreter and native C kernels
+        ignore it."""
         if self.backend == "interpreter":
             return self._interp.run(inputs)
         buffers, output_names = bind_buffers(self._func, inputs)
         if self._runner is not None:
             self._runner(buffers)
-        elif self.backend == "compiled-parallel":
-            from repro.tensorpipe.parallel import make_tile
-
-            self._fn(buffers, make_tile(jobs))
         else:
-            self._fn(buffers)
+            self._fn(buffers, make_tile(jobs))
         arg_names = self._func.attr("arg_names")
         by_name = dict(zip(arg_names, buffers))
         return {name: by_name[name] for name in output_names}
@@ -206,24 +199,21 @@ class CompiledKernel:
 class AffineCompiler:
     """Emits and compiles Python/numpy source for one affine function.
 
-    With ``tiled=True`` every vectorizable nest whose outermost output
-    dimension is a plain ``0..N`` parallel axis is emitted as a local
-    closure over a half-open row range and handed to a ``__tile`` runner
-    (see :mod:`repro.tensorpipe.parallel`): ``__tile(fn, extent, work)``
-    either calls ``fn(0, extent)`` serially or splits the rows across a
-    worker pool.  Reduction axes are never split, so results are bitwise
-    identical to the serial source for any tile count.
+    The source is ``def __kernel(args, __tile)``.  Every vectorizable nest
+    whose outermost output dimension is a plain ``0..N`` parallel axis is
+    emitted as a local closure over a half-open row range and handed to
+    the ``__tile`` runner (see :mod:`repro.tensorpipe.parallel`):
+    ``__tile(fn, extent, work)`` either calls ``fn(0, extent)`` serially
+    or splits the rows across a worker pool.  Reduction axes are never
+    split, so results are bitwise identical for any tile count.
     """
 
-    def __init__(self, module: Module, func_name: str, *,
-                 tiled: bool = False, arena: Optional[ArenaPlan] = None):
+    def __init__(self, module: Module, func_name: str):
         self.module = module
         self.func = module.lookup(func_name)
         if self.func.attr("kernel_lang") != "affine":
             raise EverestError(f"{func_name} is not an affine-level function")
         self.func_name = func_name
-        self.tiled = tiled
-        self.arena = arena
         self.lines: List[str] = []
         self.indent = 1
         # Scalar-context expression for each Value (vars, literals, ivs).
@@ -245,18 +235,11 @@ class AffineCompiler:
     def generate(self) -> str:
         """Emit the module-level source for this function."""
         entry = self.func.regions[0].entry
-        header = "def __kernel(args, __tile):" if self.tiled \
-            else "def __kernel(args):"
-        self.lines = [header]
+        self.lines = ["def __kernel(args, __tile):"]
         for i, arg in enumerate(entry.args):
             name = f"a{i}"
             self.expr[arg] = name
             self._emit(f"{name} = args[{i}]")
-        if self.arena is not None and self.arena.total_bytes:
-            # Per-run arena: concurrent runs of one cached kernel (the
-            # serve daemon) must not share scratch memory.
-            self._emit(f"__arena = np.empty({self.arena.total_bytes}, "
-                       f"dtype=np.uint8)")
         self._emit_block_scalar(entry)
         self._emit("return None")
         return "\n".join(self.lines) + "\n"
@@ -281,18 +264,8 @@ class AffineCompiler:
         if name == "memref.alloc":
             ref = op.results[0].type
             var = self._fresh()
-            slot = self.arena.op_slots.get(id(op)) if self.arena else None
-            if slot is not None:
-                dtype = _DTYPE_SRC.get(str(ref.element), "np.float64")
-                self._emit(f"{var} = __arena[{slot.offset}:"
-                           f"{slot.offset + slot.size}].view({dtype})"
-                           f".reshape({tuple(ref.shape)!r})")
-                # memref.alloc zero-init contract: slots are reused, so
-                # the fill is what keeps arena runs bitwise-identical.
-                self._emit(f"{var}.fill(0)")
-            else:
-                self._emit(f"{var} = np.zeros({tuple(ref.shape)!r}, "
-                           f"{_DTYPE_SRC.get(str(ref.element), 'np.float64')})")
+            self._emit(f"{var} = np.zeros({tuple(ref.shape)!r}, "
+                       f"{_DTYPE_SRC.get(str(ref.element), 'np.float64')})")
             self.expr[op.results[0]] = var
             return
         if name == "memref.copy":
@@ -484,14 +457,14 @@ class AffineCompiler:
                 if len(patterns) != 1 or tuple(op.operands[1:]) != patterns[0]:
                     return False
 
-        # The tiled variant shards the outermost output dimension: the
-        # nest body is wrapped in a closure over a half-open row range
-        # ``[__t0, __t1)`` and dispatched through the ``__tile`` runner.
+        # Tiling shards the outermost output dimension: the nest body is
+        # wrapped in a closure over a half-open row range ``[__t0, __t1)``
+        # and dispatched through the ``__tile`` runner.
         # Only a plain 0..N unit-step axis tiles (ranges then compose by
         # plain slicing); reduction loops stay sequential inside every
         # tile, so chunking cannot reorder a single accumulation.
         tile_iv: Optional[Value] = None
-        if self.tiled and out_ivs:
+        if out_ivs:
             outer = iv_to_loop[out_ivs[0]]
             if outer.lower == 0 and outer.step == 1:
                 tile_iv = out_ivs[0]
@@ -754,22 +727,17 @@ def _static_flops(func: Operation) -> int:
 
 
 def compile_numpy(module: Module, func_name: str, *,
-                  backend: str = "compiled", tiled: bool = False,
-                  arena: bool = False,
+                  backend: str = "compiled",
                   cache: bool = True) -> CompiledKernel:
-    """The numpy compilation core behind the ``interpreter``,
-    ``compiled``, ``compiled-parallel`` and ``compiled-arena`` registry
-    backends.
+    """The numpy compilation core behind the ``interpreter`` and
+    ``compiled`` registry backends.
 
     Results are cached by content hash of the printed module plus the
     function name and backend, so repeated compiles of an identical
     module are free.  Functions containing unsupported ops degrade to
     the interpreter backend (same results, interpreter speed);
     ``backend="interpreter"`` forces that path (baseline/differential
-    runs).  ``tiled`` selects the sharded source variant executed
-    through :mod:`repro.tensorpipe.parallel`; ``arena`` runs the static
-    planner of :mod:`repro.tensorpipe.arena` and emits local buffers as
-    views into one preallocated per-run arena.
+    runs).
     """
     key = fingerprint("affine-codegen", print_module(module), func_name,
                       backend)
@@ -789,11 +757,7 @@ def compile_numpy(module: Module, func_name: str, *,
         flops = _static_flops(func)
         kernel = None
         if backend != "interpreter":
-            plan = plan_arena(func) if arena else None
-            if plan is not None:
-                _ARENA_BYTES.set(plan.total_bytes)
-            compiler = AffineCompiler(module, func_name, tiled=tiled,
-                                      arena=plan)
+            compiler = AffineCompiler(module, func_name)
             try:
                 source = compiler.generate()
                 namespace = {"np": np}
@@ -806,8 +770,6 @@ def compile_numpy(module: Module, func_name: str, *,
                     vectorized_nests=compiler.vectorized_nests,
                     scalar_nests=compiler.scalar_nests,
                     tileable_nests=compiler.tileable_nests,
-                    arena_bytes=plan.total_bytes if plan else 0,
-                    arena_slots=len(plan.slots) if plan else 0,
                     _func=func, _fn=namespace["__kernel"],
                 )
             except UnsupportedAffineOp:
@@ -820,8 +782,6 @@ def compile_numpy(module: Module, func_name: str, *,
                 _interp=AffineInterpreter(module, func_name),
             )
             span.set("fallback", True)
-        if kernel.arena_bytes:
-            span.set("arena_bytes", kernel.arena_bytes)
     if cache:
         with _CACHE_LOCK:
             _COMPILE_CACHE[key] = kernel
@@ -835,7 +795,7 @@ def compile_affine(module: Module, func_name: str, *,
 
     ``backend`` is resolved through the
     :mod:`repro.tensorpipe.backends` registry (``interpreter`` /
-    ``compiled`` / ``compiled-parallel`` / ``cbackend`` plus anything
+    ``compiled`` / ``cbackend`` plus anything
     registered by the embedding application); an unknown name raises
     with the list of registered backends.  A backend instance is
     accepted directly.

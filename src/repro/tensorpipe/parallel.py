@@ -1,6 +1,6 @@
-"""Tile runner for the ``compiled-parallel`` backend.
+"""Tile runner for the ``compiled`` numpy backend.
 
-The tiled source that :class:`~repro.tensorpipe.codegen.AffineCompiler`
+The source that :class:`~repro.tensorpipe.codegen.AffineCompiler`
 emits wraps each shardable nest in a closure ``fn(t0, t1)`` over a
 half-open row range and calls ``__tile(fn, extent, work)``.  This module
 provides that runner: small nests (``work`` below a threshold) run
@@ -35,6 +35,10 @@ from repro.telemetry.trace import current_span, get_tracer
 #: would cost more than it buys.  Tests override via ``REPRO_TILE_THRESHOLD``.
 DEFAULT_TILE_THRESHOLD = 65536
 
+#: Cap on the default pool size (the CPU count); the serve daemon also
+#: rejects a request's ``jobs`` above it.
+MAX_JOBS = 8
+
 _POOL: Optional[ThreadPoolExecutor] = None
 _POOL_SIZE = 0
 _POOL_LOCK = threading.Lock()
@@ -67,16 +71,23 @@ def _env_int(name: str, minimum: int) -> Optional[int]:
 
 
 def resolve_jobs(explicit: Optional[int] = None) -> int:
-    """The worker-pool size: explicit > ``REPRO_JOBS`` > cpu count (<=8)."""
+    """The worker-pool size: explicit > ``REPRO_JOBS`` > cpu count (<=8).
+
+    ``explicit`` may come from outside input (a serve request body), so
+    anything but a plain ``int`` — a string, a float, a bool — raises
+    :class:`EverestError` rather than being coerced.
+    """
     if explicit is not None:
-        jobs = int(explicit)
-        if jobs < 1:
-            raise EverestError(f"jobs must be >= 1, got {jobs}")
-        return jobs
+        if isinstance(explicit, bool) or not isinstance(explicit, int):
+            raise EverestError(
+                f"jobs must be an integer, got {explicit!r}")
+        if explicit < 1:
+            raise EverestError(f"jobs must be >= 1, got {explicit}")
+        return explicit
     env = _env_int("REPRO_JOBS", 1)
     if env is not None:
         return env
-    return min(8, os.cpu_count() or 1)
+    return min(MAX_JOBS, os.cpu_count() or 1)
 
 
 def tile_threshold() -> int:
@@ -140,7 +151,7 @@ def split_ranges(extent: int, parts: int) -> List[tuple]:
 
 def make_tile(jobs: Optional[int] = None,
               threshold: Optional[int] = None) -> Callable:
-    """Build the ``__tile`` runner a tiled kernel invocation binds to."""
+    """Build the ``__tile`` runner a kernel invocation binds to."""
     jobs = resolve_jobs(jobs)
     limit = tile_threshold() if threshold is None else threshold
 

@@ -1,28 +1,16 @@
-"""Static arena planner: liveness, placement, execution and HLS wiring.
+"""Static arena planner: liveness, placement and HLS wiring.
 
 Covers the contract chain end to end:
 
 * :func:`repro.tensorpipe.arena.plan_arena` produces an overlap-free,
   aligned first-fit plan whose sharing follows buffer liveness;
-* the ``compiled-arena`` backend executes every golden kernel
-  bitwise-identically to the interpreter and the per-buffer ``compiled``
-  backend (the ``memref.alloc`` zero-init contract survives slot reuse);
-* ``KernelReport.planned_arena_bytes`` (HLS) equals both the planner's
-  peak and the compiled executor's allocated arena;
+* ``KernelReport.planned_arena_bytes`` (HLS) equals the planner's peak;
 * the plan feeds Olympus PLM sharing via
   :func:`repro.olympus.plm_sharing.requests_from_arena` and sizes the
   generated scratch PLM.
 """
 
-import os
-import sys
-
-import numpy as np
 import pytest
-
-sys.path.insert(
-    0, os.path.join(os.path.dirname(__file__), os.pardir, "tools")
-)
 
 from repro.frontends.cfdlang import (
     lower_cfdlang_to_teil,
@@ -42,9 +30,7 @@ from repro.olympus import (
 )
 from repro.platforms import device_by_name
 from repro.tensorpipe import lower_esn_to_teil, lower_teil_to_affine
-from repro.tensorpipe.affine_interp import _dtype_for, run_affine
 from repro.tensorpipe.arena import default_element_bytes, plan_arena
-from repro.tensorpipe.codegen import compile_affine
 
 CHAIN = """
 kernel arena_chain {
@@ -96,20 +82,6 @@ def _lower_cfd(source):
     return module, names[0]
 
 
-def _sample_inputs(module, func_name, seed=7):
-    func = module.lookup(func_name)
-    entry = func.regions[0].entry
-    arg_names = func.attr("arg_names")
-    num_outputs = func.attr("num_outputs")
-    rng = np.random.default_rng(seed)
-    inputs = {}
-    for i, arg in enumerate(entry.args[:len(entry.args) - num_outputs]):
-        dtype = _dtype_for(arg.type.element)
-        data = rng.normal(size=tuple(arg.type.shape))
-        inputs[arg_names[i]] = np.asarray(data, dtype=dtype)
-    return inputs
-
-
 def _golden_cases():
     module, name = _lower_ekl(CHAIN)
     yield "chain", module, name
@@ -156,48 +128,6 @@ def test_liveness_sharing_actually_shares():
     assert len(offsets) < len(plan.slots)
 
 
-# -- execution ---------------------------------------------------------------
-
-
-@pytest.mark.parametrize("label,module,name",
-                         GOLDEN, ids=[c[0] for c in GOLDEN])
-def test_arena_backend_bitwise_identical(label, module, name):
-    inputs = _sample_inputs(module, name)
-    expected = run_affine(module, name, inputs)
-    compiled = compile_affine(module, name)
-    arena = compile_affine(module, name, backend="compiled-arena")
-    assert arena.backend == "compiled-arena"
-    assert arena.arena_slots == len(plan_arena(module.lookup(name)).slots)
-    got_compiled = compiled.run(inputs)
-    got_arena = arena.run(inputs)
-    for out in expected:
-        np.testing.assert_array_equal(got_arena[out], expected[out])
-        np.testing.assert_array_equal(got_arena[out], got_compiled[out])
-        assert got_arena[out].dtype == expected[out].dtype
-
-
-def test_arena_run_is_repeatable_despite_slot_reuse():
-    # The zero-init contract: a reused slot must not leak the previous
-    # buffer's (or the previous *run's*) bytes into a fresh alloc.
-    module, name = _lower_ekl(CHAIN)
-    arena = compile_affine(module, name, backend="compiled-arena")
-    assert ".fill(0)" in arena.source
-    inputs = _sample_inputs(module, name)
-    first = arena.run(inputs)
-    second = arena.run(inputs)
-    for out in first:
-        np.testing.assert_array_equal(first[out], second[out])
-
-
-def test_fuzz_exec_200_seeds_through_arena_backend():
-    """200 random kernels, arena backend vs. interpreter, bit-for-bit
-    at opt levels 0/1/2 (the ISSUE's differential acceptance bar)."""
-    from irfuzz import check_executor
-
-    for seed in range(200):
-        check_executor(seed, backend="compiled-arena")
-
-
 def test_analysis_records_zero_init_contract():
     module, name = _lower_ekl(CHAIN)
     analysis = analyze_module(module)
@@ -216,9 +146,7 @@ def test_analysis_records_zero_init_contract():
 def test_hls_report_matches_planner_and_executor(label, module, name):
     report = synthesize_kernel(module, name)
     plan = plan_arena(module.lookup(name))
-    arena = compile_affine(module, name, backend="compiled-arena")
     assert report.planned_arena_bytes == plan.total_bytes
-    assert report.planned_arena_bytes == arena.arena_bytes
     assert report.planned_arena_slots == len(plan.slots)
     assert f"scratch-arena={plan.total_bytes}B" in report.summary()
 

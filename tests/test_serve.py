@@ -143,6 +143,37 @@ class TestService:
             BasecampService().handle(
                 "compile", {"source": ADD, "opt_level": 9})
 
+    @pytest.mark.parametrize("jobs", ["abc", "2", 2.7, True, 0, 9, 100000,
+                                      [2]])
+    def test_bad_jobs_rejected_and_counted(self, jobs):
+        # Regression: "abc" escaped as a raw ValueError (an uncounted
+        # HTTP 500), and 100000 sized the shared tile pool to match.
+        service = BasecampService()
+        with pytest.raises(EverestError, match="jobs must be"):
+            service.handle("execute", {"source": ADD, "random_seed": 0,
+                                       "jobs": jobs})
+        server = service.stats()["server"]
+        assert server["requests"] == 1
+        assert server["errors"] == 1 and server["ok"] == 0
+
+    @pytest.mark.parametrize("jobs", [1, 8])
+    def test_jobs_in_range_accepted(self, jobs):
+        service = BasecampService()
+        result = service.handle("execute", {
+            "source": ADD, "random_seed": 0, "jobs": jobs,
+            "full_outputs": True})
+        expected = PipelineSession().execute(
+            ADD, _seeded_inputs(service, ADD, 0))
+        np.testing.assert_array_equal(
+            np.array(result["outputs"]["c"]["values"]),
+            expected.outputs["c"])
+
+    def test_unknown_backend_lists_registered(self):
+        with pytest.raises(EverestError, match=r"available: cbackend, "
+                                               r"compiled, interpreter$"):
+            BasecampService().handle("execute", {
+                "source": ADD, "random_seed": 0, "backend": "copmiled"})
+
     def test_sizing_validated(self):
         with pytest.raises(EverestError):
             BasecampService(max_workers=0)
@@ -193,6 +224,13 @@ class TestHTTP:
                                {"source": "kernel broken {"})
         assert status == 400
         assert "error" in body
+
+    def test_bad_jobs_maps_to_400(self, server):
+        status, body, _ = post(server.url, "execute",
+                               {"source": ADD, "random_seed": 0,
+                                "jobs": "abc"})
+        assert status == 400
+        assert "jobs must be an integer" in body["error"]
 
     def test_cache_shared_across_requests(self, server):
         status, first, _ = post(server.url, "compile", {"source": ADD})
