@@ -128,10 +128,12 @@ coverage:
 
 # Ruff is non-blocking: warnings are reported but never fail the build,
 # and a missing ruff is tolerated (the container may not ship it).  The
-# mypy gate on the analysis + arena planner modules and the telemetry
-# package IS blocking when mypy is available: those files stay fully
-# annotated and clean; a missing mypy skips it with a loud warning on
-# stderr (the target still succeeds).
+# mypy gate on the analysis + arena planner modules, the stage cache and
+# the telemetry package IS blocking when mypy is available: those files
+# stay fully annotated and clean; a missing mypy skips it with a loud
+# warning on stderr (the target still succeeds).  The "fully annotated"
+# half of that contract is also checked without mypy, by
+# tests/test_annotations.py, which reads the file list below.
 lint:
 	-@$(PYTHON) -m ruff check src tests benchmarks tools examples \
 		2>/dev/null || echo "lint: ruff unavailable or reported" \
@@ -140,6 +142,7 @@ lint:
 		$(PYTHON) -m mypy --follow-imports=silent \
 			--ignore-missing-imports --strict-equality \
 			src/repro/ir/analysis.py src/repro/tensorpipe/arena.py \
+			src/repro/pipeline/cache.py \
 			src/repro/telemetry/trace.py \
 			src/repro/telemetry/metrics.py \
 			src/repro/telemetry/export.py \

@@ -26,7 +26,8 @@ def gather_inputs(module: Any, func_name: str,
     ``explicit`` binds arrays by argument name; with ``random_seed``
     every remaining float input is drawn uniform [0, 1) and every
     integer input is zero-filled (always in-range for gather tables).
-    Unknown or missing names raise :class:`EverestError`;
+    Unknown or missing names, non-numeric arrays and a seed that is not
+    a non-negative integer raise :class:`EverestError`;
     ``missing_hint`` (``{name}``-formatted) and ``unknown_label`` let
     each entry point keep its own remediation wording.
     """
@@ -34,6 +35,11 @@ def gather_inputs(module: Any, func_name: str,
 
     from repro.ir import types as T
 
+    if random_seed is not None and (
+            isinstance(random_seed, bool) or not isinstance(random_seed, int)
+            or random_seed < 0):
+        raise EverestError(f"random seed must be a non-negative integer, "
+                           f"got {random_seed!r}")
     func = module.lookup(func_name)
     entry = func.regions[0].entry
     arg_names = func.attr("arg_names")
@@ -46,7 +52,7 @@ def gather_inputs(module: Any, func_name: str,
         name = arg_names[i]
         ref = arg.type
         if name in explicit:
-            inputs[name] = np.asarray(explicit.pop(name))
+            inputs[name] = _numeric_array(name, explicit.pop(name))
             continue
         if rng is None:
             raise EverestError(
@@ -62,3 +68,17 @@ def gather_inputs(module: Any, func_name: str,
             f"unknown {unknown_label} name(s): "
             + ", ".join(sorted(explicit)))
     return inputs
+
+
+def _numeric_array(name: str, value: Any) -> Any:
+    """``value`` as a bool/integer/float numpy array, or EverestError."""
+    import numpy as np
+
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError) as error:  # ragged nested lists
+        raise EverestError(f"input {name!r} is not an array: {error}")
+    if array.dtype.kind not in "biuf":
+        raise EverestError(f"input {name!r} must be numeric, got "
+                           f"{array.dtype} values")
+    return array

@@ -137,6 +137,7 @@ class BasecampService:
                 ("cache_entries", "Stage-cache entries in the session"),
                 ("cache_hits", "Stage-cache hits since start"),
                 ("cache_misses", "Stage-cache misses since start"),
+                ("cache_evictions", "Stage-cache LRU evictions since start"),
                 ("singleflight_leaders", "Single-flight leader executions"),
                 ("singleflight_waits", "Single-flight waiter joins"),
                 ("tile_pool_workers", "Worker threads in the tile pool"),
@@ -211,9 +212,21 @@ class BasecampService:
     @staticmethod
     def _opt_level(payload: Dict[str, Any]) -> int:
         level = payload.get("opt_level", 1)
-        if level not in (0, 1, 2):
+        if isinstance(level, bool) or level not in (0, 1, 2):
             raise EverestError(f"opt_level must be 0, 1 or 2, got {level!r}")
         return level
+
+    @staticmethod
+    def _int(payload: Dict[str, Any], name: str, default: int,
+             minimum: Optional[int] = None) -> int:
+        """An integer field: a plain ``int`` (not a bool), checked
+        against ``minimum`` when given."""
+        value = payload.get(name, default)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise EverestError(f"{name} must be an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise EverestError(f"{name} must be >= {minimum}, got {value}")
+        return value
 
     @staticmethod
     def _jobs(payload: Dict[str, Any]) -> Optional[int]:
@@ -225,9 +238,12 @@ class BasecampService:
         return jobs
 
     def _compile(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        number_format = payload.get("number_format")
+        if number_format is not None and not isinstance(number_format, str):
+            raise EverestError("number_format must be a format spec string "
+                               f"such as 'f32', got {number_format!r}")
         result = self.session.compile(
-            self._source_of(payload),
-            number_format=payload.get("number_format"),
+            self._source_of(payload), number_format=number_format,
             opt_level=self._opt_level(payload))
         report = result.report
         return {
@@ -292,10 +308,14 @@ class BasecampService:
 
         policy = payload.get("policy", "heft")
         policies = sorted(POLICIES) if policy == "all" else [policy]
-        nodes = int(payload.get("nodes", 4))
-        tasks = int(payload.get("tasks", 60))
-        seed = int(payload.get("seed", 0))
-        fpga_fraction = float(payload.get("fpga_fraction", 0.0))
+        nodes = self._int(payload, "nodes", 4, 1)
+        tasks = self._int(payload, "tasks", 60, 0)
+        seed = self._int(payload, "seed", 0)
+        fpga_fraction = payload.get("fpga_fraction", 0.0)
+        if isinstance(fpga_fraction, bool) \
+                or not isinstance(fpga_fraction, (int, float)):
+            raise EverestError(
+                f"fpga_fraction must be a number, got {fpga_fraction!r}")
         results = []
         for name in policies:
             cluster = default_cluster(nodes)
@@ -329,6 +349,7 @@ class BasecampService:
         gauges["cache_entries"].set(len(cache))
         gauges["cache_hits"].set(cache.stats.hits)
         gauges["cache_misses"].set(cache.stats.misses)
+        gauges["cache_evictions"].set(cache.stats.evictions)
         gauges["singleflight_leaders"].set(flight.leaders)
         gauges["singleflight_waits"].set(flight.waits)
         gauges["tile_pool_workers"].set(pool_size())
@@ -358,6 +379,7 @@ class BasecampService:
                 "entries": len(cache),
                 "hits": cache.stats.hits,
                 "misses": cache.stats.misses,
+                "evictions": cache.stats.evictions,
                 "hit_rate": cache.stats.hit_rate,
             },
             "singleflight": {

@@ -12,8 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, List, Optional, Tuple
+
+#: Entry bound of one session's stage cache.  A compile plus an execute
+#: stores about five entries per kernel (~14 KB each on average), so the
+#: bound keeps ~800 distinct kernels (~60 MB) resident.
+MAX_ENTRIES = 4096
 
 
 def _canonical(part: Any) -> str:
@@ -47,10 +53,11 @@ def fingerprint(*parts: Any) -> str:
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters for one session cache."""
+    """Hit/miss/eviction counters for one session cache."""
 
     hits: int = 0
     misses: int = 0
+    evictions: int = 0
 
     @property
     def lookups(self) -> int:
@@ -63,14 +70,18 @@ class CacheStats:
 
 @dataclass
 class StageCache:
-    """Thread-safe key -> stage-result store with hit/miss accounting.
+    """Thread-safe key -> stage-result LRU with hit/miss accounting: the
+    SDK's only in-memory kernel store.
 
-    Cached values are returned by reference: callers must treat cached
-    payloads (IR modules, reports) as immutable, exactly as they would the
-    result of a repeated compile.
+    Holds at most :data:`MAX_ENTRIES` entries (read at each store); a
+    hit makes its entry the most recently used, and a store beyond the
+    bound evicts the least recently used ones.  Cached values are
+    returned by reference: callers must treat cached payloads (IR
+    modules, reports) as immutable, exactly as they would the result of
+    a repeated compile.
     """
 
-    _entries: Dict[str, Any] = field(default_factory=dict)
+    _entries: OrderedDict[str, Any] = field(default_factory=OrderedDict)
     stats: CacheStats = field(default_factory=CacheStats)
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False)
@@ -79,13 +90,20 @@ class StageCache:
         with self._lock:
             if key in self._entries:
                 self.stats.hits += 1
+                self._entries.move_to_end(key)
                 return True, self._entries[key]
             self.stats.misses += 1
             return False, None
 
     def store(self, key: str, value: Any) -> None:
+        evicted: List[Any] = []
         with self._lock:
             self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > MAX_ENTRIES:
+                evicted.append(self._entries.popitem(last=False)[1])
+            self.stats.evictions += len(evicted)
+        # Evicted kernels and modules are freed on return, off the lock.
 
     def contains(self, key: str) -> bool:
         """Peek without touching the hit/miss counters."""
@@ -93,7 +111,8 @@ class StageCache:
             return key in self._entries
 
     def peek(self, key: str) -> Tuple[bool, Optional[Any]]:
-        """Like :meth:`lookup` but without touching the counters.
+        """Like :meth:`lookup` but without touching the counters or the
+        recency order.
 
         Used by the session's single-flight leader to re-check the cache
         after winning the in-flight slot — that probe is an internal
@@ -103,11 +122,6 @@ class StageCache:
             if key in self._entries:
                 return True, self._entries[key]
             return False, None
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.stats = CacheStats()
 
     def __len__(self) -> int:
         return len(self._entries)

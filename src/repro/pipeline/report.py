@@ -8,9 +8,14 @@ this compile spend its time, and what did the cache save?".
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Deque, Dict
+
+#: How many of the newest events :attr:`PipelineReport.events` keeps.
+MAX_REPORT_EVENTS = 4096
 
 
 @dataclass
@@ -32,37 +37,44 @@ class StageTiming:
 
 @dataclass
 class PipelineReport:
-    """The accumulated timing/caching record of one session."""
+    """The accumulated timing/caching record of one session.
 
-    events: List[StageTiming] = field(default_factory=list)
+    ``total_seconds``, ``cache_hits``, ``cache_misses`` and
+    :meth:`stage_seconds` are running totals over every recorded event;
+    ``events`` holds the newest :data:`MAX_REPORT_EVENTS` of them, so a
+    long-lived session (the ``basecamp serve`` daemon) stays bounded.
+    """
+
+    events: Deque[StageTiming] = field(
+        default_factory=lambda: deque(maxlen=MAX_REPORT_EVENTS))
+    total_seconds: float = 0.0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    _stage_seconds: Dict[str, float] = field(default_factory=dict,
+                                             repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock,
+                                  repr=False, compare=False)
 
     def record(self, stage: str, seconds: float, *, cached: bool,
                parallel: bool = False, detail: str = "",
                aux: bool = False) -> StageTiming:
         event = StageTiming(stage, seconds, cached, parallel, detail, aux)
-        self.events.append(event)
+        with self._lock:  # sessions record from many threads
+            self.events.append(event)
+            if not aux:
+                self.total_seconds += seconds
+                if cached:
+                    self.cache_hits += 1
+                else:
+                    self.cache_misses += 1
+                    self._stage_seconds[stage] = \
+                        self._stage_seconds.get(stage, 0.0) + seconds
         return event
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(e.seconds for e in self.events if not e.aux)
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for e in self.events if e.cached and not e.aux)
-
-    @property
-    def cache_misses(self) -> int:
-        return sum(1 for e in self.events if not e.cached and not e.aux)
 
     def stage_seconds(self) -> Dict[str, float]:
         """Total executed (non-cached) seconds per stage name."""
-        totals: Dict[str, float] = {}
-        for event in self.events:
-            if not event.cached and not event.aux:
-                totals[event.stage] = totals.get(event.stage, 0.0) \
-                    + event.seconds
-        return totals
+        with self._lock:
+            return dict(self._stage_seconds)
 
     def as_dict(self) -> Dict[str, Any]:
         return {

@@ -5,10 +5,12 @@ Mirrors the scheduler policy registry
 
 * ``name`` — the registry key (``basecamp run --backend``,
   ``session.execute(backend=...)``);
-* ``compile(module, func_name, *, cache=True)`` — returning a
+* ``compile(module, func_name)`` — returning a
   :class:`~repro.tensorpipe.codegen.CompiledKernel` whose ``run`` is
   bit-for-bit identical to the reference
   :class:`~repro.tensorpipe.affine_interp.AffineInterpreter` on float64.
+  Backends keep no in-memory cache: the pipeline session's stage cache
+  holds compiled kernels.
 
 Stock backends:
 
@@ -44,10 +46,8 @@ class NumpyBackend:
     def __init__(self, name: str):
         self.name = name
 
-    def compile(self, module: Module, func_name: str, *,
-                cache: bool = True) -> CompiledKernel:
-        return compile_numpy(module, func_name, backend=self.name,
-                             cache=cache)
+    def compile(self, module: Module, func_name: str) -> CompiledKernel:
+        return compile_numpy(module, func_name, backend=self.name)
 
     def __repr__(self) -> str:
         return f"<backend {self.name}>"
@@ -64,7 +64,7 @@ def register_backend(backend, *, replace: bool = False):
     if not callable(getattr(backend, "compile", None)):
         raise EverestError(
             f"executor backend {name!r} does not implement "
-            "compile(module, func_name, *, cache=True)")
+            "compile(module, func_name)")
     if name in BACKENDS and not replace:
         raise EverestError(f"executor backend {name!r} already registered "
                            "(pass replace=True to override)")
@@ -86,7 +86,7 @@ def resolve_backend(backend: Union[str, object]):
         return backend
     raise EverestError(
         f"{type(backend).__name__} does not implement the executor-backend "
-        "interface (compile(module, func_name, *, cache=True))")
+        "interface (compile(module, func_name))")
 
 
 def registered_backends() -> Dict[str, object]:

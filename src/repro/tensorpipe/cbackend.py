@@ -30,7 +30,8 @@ contract as the numpy backends, which constrains the emitted C:
 
 Cache poisoning guard
 ---------------------
-Artifacts live in a content-addressed on-disk cache (``key.so``).  The
+Artifacts live in a content-addressed on-disk cache (``key.so``, keyed
+on the generated C source).  The
 compiler writes source and object to dot-prefixed temporaries and
 installs with an atomic ``os.replace``; a ``cc`` crash mid-build leaves
 *nothing* under the final name, so a later process can never load a
@@ -54,7 +55,6 @@ import numpy as np
 
 from repro.errors import EverestError
 from repro.ir import Module, Operation, Value
-from repro.ir.printer import print_module
 from repro.pipeline.cache import fingerprint
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import get_tracer
@@ -441,20 +441,14 @@ def compile_shared_object(cc: str, source: str, key: str) -> str:
                 pass
 
 
-_LOADED: Dict[str, object] = {}
-_LOAD_LOCK = threading.Lock()
-
-
 def _load_kernel(so_path: str):
-    with _LOAD_LOCK:
-        fn = _LOADED.get(so_path)
-        if fn is None:
-            lib = ctypes.CDLL(so_path)
-            fn = lib.repro_kernel
-            fn.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
-            fn.restype = None
-            _LOADED[so_path] = fn
-        return fn
+    """Bind ``repro_kernel`` from ``so_path``.  ctypes never dlcloses, and
+    dlopen of an already-loaded path returns the same handle, so the
+    returned function stays valid for as long as anything holds it."""
+    fn = ctypes.CDLL(so_path).repro_kernel
+    fn.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
+    fn.restype = None
+    return fn
 
 
 # -- the libm-vs-numpy probe --------------------------------------------------
@@ -567,48 +561,30 @@ def reset_probe_cache() -> None:
 
 # -- the backend --------------------------------------------------------------
 
-_CBACKEND_CACHE: Dict[str, CompiledKernel] = {}
-_CBACKEND_LOCK = threading.Lock()
-
-
 class CBackend:
     """``cbackend``: generated C, with clean fallback to ``compiled``."""
 
     name = "cbackend"
 
-    def compile(self, module: Module, func_name: str, *,
-                cache: bool = True) -> CompiledKernel:
-        key = fingerprint("affine-cbackend", print_module(module), func_name)
-        if cache:
-            with _CBACKEND_LOCK:
-                hit = _CBACKEND_CACHE.get(key)
-                if hit is not None:
-                    return hit
-        kernel = self._compile(module, func_name, key, cache)
-        if cache:
-            with _CBACKEND_LOCK:
-                _CBACKEND_CACHE[key] = kernel
-        return kernel
-
-    def _compile(self, module: Module, func_name: str, key: str,
-                 cache: bool) -> CompiledKernel:
+    def compile(self, module: Module, func_name: str) -> CompiledKernel:
         cc = find_cc()
         if cc is None:
-            return self._fallback(module, func_name, cache,
+            return self._fallback(module, func_name,
                                   "no C compiler (cc) on PATH")
         supported = probe_supported(cc)
         if supported is None:
-            return self._fallback(module, func_name, cache,
+            return self._fallback(module, func_name,
                                   f"probe build failed under {cc!r}")
         try:
             source = CEmitter(module, func_name, supported).generate()
         except UnsupportedAffineOp as error:
-            return self._fallback(module, func_name, cache, str(error))
+            return self._fallback(module, func_name, str(error))
+        key = fingerprint("affine-cbackend", source)
         try:
             so_path = compile_shared_object(cc, source, key)
             fn = _load_kernel(so_path)
         except (CCompileError, OSError) as error:
-            return self._fallback(module, func_name, cache, str(error))
+            return self._fallback(module, func_name, str(error))
         func = module.lookup(func_name)
 
         def runner(buffers):
@@ -623,17 +599,10 @@ class CBackend:
         )
 
     @staticmethod
-    def _fallback(module: Module, func_name: str, cache: bool,
+    def _fallback(module: Module, func_name: str,
                   reason: str) -> CompiledKernel:
-        kernel = compile_numpy(module, func_name, backend="compiled",
-                               cache=cache)
+        kernel = compile_numpy(module, func_name, backend="compiled")
         return dataclasses.replace(kernel, fallback=f"cbackend: {reason}")
 
     def __repr__(self) -> str:
         return f"<backend {self.name}>"
-
-
-def clear_cbackend_cache() -> None:
-    """Drop in-memory artifacts (the on-disk .so cache is untouched)."""
-    with _CBACKEND_LOCK:
-        _CBACKEND_CACHE.clear()

@@ -16,14 +16,13 @@ this compiler, to a fast host executor.  The bit-for-bit contract with the
 interpreter is enforced differentially by the test suite on every golden
 kernel and on fuzz-generated modules at all optimization levels.
 
-Compilation results are cached by module content hash (the chained
-fingerprint machinery of :mod:`repro.pipeline.cache`); any op outside the
+Compiled kernels are cached by the pipeline session's stage cache (the
+``execute`` stage, :mod:`repro.pipeline.cache`); any op outside the
 supported set falls back to the interpreter, never to a wrong answer.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -31,9 +30,6 @@ import numpy as np
 
 from repro.errors import EverestError
 from repro.ir import Module, Operation, Value, types as T
-from repro.ir.printer import print_module
-from repro.pipeline.cache import fingerprint
-from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import get_tracer
 from repro.tensorpipe.affine_interp import (
     AffineInterpreter,
@@ -41,13 +37,6 @@ from repro.tensorpipe.affine_interp import (
     bind_buffers,
 )
 from repro.tensorpipe.parallel import make_tile
-
-# Process-wide codegen metrics (the serve daemon exports them under
-# GET /metrics; see docs/observability.md for the naming rules).
-_CACHE_EVENTS = get_registry().counter(
-    "repro_codegen_cache_total",
-    "Compile-cache lookups of the numpy codegen backends", ("result",))
-
 
 class UnsupportedAffineOp(EverestError):
     """Raised internally when a function contains an op codegen cannot
@@ -697,25 +686,6 @@ def count_flops(func: Operation) -> int:
 
 # -- public entry points -----------------------------------------------------
 
-_COMPILE_CACHE: Dict[str, CompiledKernel] = {}
-_CACHE_LOCK = threading.Lock()
-
-
-def compile_cache_stats() -> Tuple[int, int]:
-    """(entries, hits) of the process-wide compile cache."""
-    with _CACHE_LOCK:
-        return len(_COMPILE_CACHE), _CACHE_HITS[0]
-
-
-_CACHE_HITS = [0]
-
-
-def clear_compile_cache() -> None:
-    with _CACHE_LOCK:
-        _COMPILE_CACHE.clear()
-        _CACHE_HITS[0] = 0
-
-
 def _static_flops(func: Operation) -> int:
     try:
         return count_flops(func)
@@ -727,28 +697,16 @@ def _static_flops(func: Operation) -> int:
 
 
 def compile_numpy(module: Module, func_name: str, *,
-                  backend: str = "compiled",
-                  cache: bool = True) -> CompiledKernel:
+                  backend: str = "compiled") -> CompiledKernel:
     """The numpy compilation core behind the ``interpreter`` and
     ``compiled`` registry backends.
 
-    Results are cached by content hash of the printed module plus the
-    function name and backend, so repeated compiles of an identical
-    module are free.  Functions containing unsupported ops degrade to
-    the interpreter backend (same results, interpreter speed);
-    ``backend="interpreter"`` forces that path (baseline/differential
-    runs).
+    Every call compiles; reuse is the caller's business (the pipeline
+    session caches the result as its ``execute`` stage).  Functions
+    containing unsupported ops degrade to the interpreter backend (same
+    results, interpreter speed); ``backend="interpreter"`` forces that
+    path (baseline/differential runs).
     """
-    key = fingerprint("affine-codegen", print_module(module), func_name,
-                      backend)
-    if cache:
-        with _CACHE_LOCK:
-            hit = _COMPILE_CACHE.get(key)
-            if hit is not None:
-                _CACHE_HITS[0] += 1
-                _CACHE_EVENTS.inc(result="hit")
-                return hit
-        _CACHE_EVENTS.inc(result="miss")
     tracer = get_tracer()
     with tracer.span("codegen.compile", category="compile") as span:
         if tracer.enabled:
@@ -766,7 +724,7 @@ def compile_numpy(module: Module, func_name: str, *,
                 exec(code, namespace)
                 kernel = CompiledKernel(
                     func_name=func_name, backend=backend, source=source,
-                    key=key, flops=flops,
+                    flops=flops,
                     vectorized_nests=compiler.vectorized_nests,
                     scalar_nests=compiler.scalar_nests,
                     tileable_nests=compiler.tileable_nests,
@@ -777,20 +735,16 @@ def compile_numpy(module: Module, func_name: str, *,
         if kernel is None:
             fallback = backend if backend != "interpreter" else ""
             kernel = CompiledKernel(
-                func_name=func_name, backend="interpreter", key=key,
+                func_name=func_name, backend="interpreter",
                 flops=flops, fallback=fallback,
                 _interp=AffineInterpreter(module, func_name),
             )
             span.set("fallback", True)
-    if cache:
-        with _CACHE_LOCK:
-            _COMPILE_CACHE[key] = kernel
     return kernel
 
 
 def compile_affine(module: Module, func_name: str, *,
-                   backend: str = "compiled",
-                   cache: bool = True) -> CompiledKernel:
+                   backend: str = "compiled") -> CompiledKernel:
     """Compile one affine function with the named executor backend.
 
     ``backend`` is resolved through the
@@ -798,16 +752,18 @@ def compile_affine(module: Module, func_name: str, *,
     ``compiled`` / ``cbackend`` plus anything
     registered by the embedding application); an unknown name raises
     with the list of registered backends.  A backend instance is
-    accepted directly.
+    accepted directly.  Every call compiles: hold on to the result, or
+    go through :meth:`repro.pipeline.PipelineSession.execute`, whose
+    stage cache keeps it.
     """
     from repro.tensorpipe.backends import resolve_backend
 
-    return resolve_backend(backend).compile(module, func_name, cache=cache)
+    return resolve_backend(backend).compile(module, func_name)
 
 
 def run_affine_compiled(module: Module, func_name: str,
                         inputs: Mapping[str, np.ndarray]
                         ) -> Dict[str, np.ndarray]:
-    """Compile (cached) and execute; drop-in for
+    """Compile and execute; drop-in for
     :func:`repro.tensorpipe.affine_interp.run_affine`."""
     return compile_affine(module, func_name).run(inputs)

@@ -20,6 +20,7 @@ from repro.errors import EverestError
 from repro.frontends.ekl import FIG3_MAJOR_ABSORBER, parse_kernel
 from repro.frontends.ekl.lower import lower_ekl_to_esn, lower_kernel_to_ekl
 from repro.ir import CanonicalizePass, FusionPass, verify
+from repro.telemetry.metrics import get_registry
 from repro.tensorpipe import lower_esn_to_teil, lower_teil_to_affine
 from repro.tensorpipe.affine_interp import run_affine
 from repro.tensorpipe.backends import (
@@ -30,7 +31,6 @@ from repro.tensorpipe.backends import (
 )
 from repro.tensorpipe.cbackend import (
     CBackend,
-    clear_cbackend_cache,
     find_cc,
     probe_supported,
     reset_probe_cache,
@@ -165,9 +165,8 @@ class TestRegistry:
         class Custom:
             name = "custom-test"
 
-            def compile(self, module, func_name, *, cache=True):
-                return compile_affine(module, func_name, backend="compiled",
-                                      cache=cache)
+            def compile(self, module, func_name):
+                return compile_affine(module, func_name, backend="compiled")
 
         try:
             register_backend(Custom())
@@ -374,21 +373,18 @@ class TestParallel:
 
 @pytest.fixture
 def isolated_cbackend(monkeypatch, tmp_path):
-    """Redirect the cbackend's disk cache and drop in-memory state so
+    """Redirect the cbackend's disk cache and drop the probe results so
     REPRO_CC / cache assertions see a fresh world."""
     monkeypatch.setenv("REPRO_CBACKEND_CACHE", str(tmp_path))
-    clear_cbackend_cache()
     reset_probe_cache()
     yield tmp_path
-    clear_cbackend_cache()
     reset_probe_cache()
 
 
 class TestCBackend:
     def test_runs_native_or_records_fallback(self):
         func_name, module = lower_optimized(GOLDEN["elementwise"])
-        kernel = compile_affine(module, func_name, backend="cbackend",
-                                cache=False)
+        kernel = compile_affine(module, func_name, backend="cbackend")
         if kernel.backend == "cbackend":
             assert not kernel.fallback
             assert "repro_kernel" in kernel.source
@@ -408,8 +404,7 @@ kernel k {
         func_name, module = lower_optimized(source)
         inputs = {"a": np.random.default_rng(11).normal(size=12)}
         expected = run_affine(module, func_name, inputs)
-        kernel = compile_affine(module, func_name, backend="cbackend",
-                                cache=False)
+        kernel = compile_affine(module, func_name, backend="cbackend")
         cc = find_cc()
         supported = probe_supported(cc) if cc else None
         if supported is not None and {"math.exp", "math.tanh"} <= supported:
@@ -426,7 +421,7 @@ kernel k {
         monkeypatch.setattr("repro.tensorpipe.cbackend.find_cc",
                             lambda: None)
         func_name, module = lower_optimized(GOLDEN["elementwise"])
-        kernel = CBackend().compile(module, func_name, cache=False)
+        kernel = CBackend().compile(module, func_name)
         assert kernel.backend == "compiled"
         assert "no C compiler" in kernel.fallback
         inputs = golden_inputs("elementwise")
@@ -454,7 +449,7 @@ kernel k {
         monkeypatch.setenv("REPRO_CC", str(poison_cc))
         reset_probe_cache()
         func_name, module = lower_optimized(GOLDEN["elementwise"])
-        kernel = CBackend().compile(module, func_name, cache=False)
+        kernel = CBackend().compile(module, func_name)
         assert kernel.backend == "compiled"
         assert "cbackend:" in kernel.fallback
         leftovers = [name for name in os.listdir(isolated_cbackend)
@@ -475,10 +470,17 @@ kernel k {
         artifacts = [name for name in os.listdir(isolated_cbackend)
                      if name.endswith(".so")]
         assert artifacts  # probe + kernel objects installed atomically
-        clear_cbackend_cache()
+        cc_runs = get_registry().counter(
+            "repro_cbackend_cc_total",
+            "C-backend shared-object builds by outcome", ("result",))
+        cached = cc_runs.value(result="cached")
+        built = cc_runs.value(result="ok")
         second = CBackend().compile(module.clone(), func_name)
         assert second.backend == "cbackend"
         assert second.key == first.key
+        # Served from the installed .so: no second cc run.
+        assert cc_runs.value(result="cached") == cached + 1
+        assert cc_runs.value(result="ok") == built
 
     def test_gather_wraps_negative_semantics(self, isolated_cbackend):
         # Golden gather uses in-range indices; the emitted C must match
@@ -486,7 +488,7 @@ kernel k {
         func_name, module = lower_optimized(GOLDEN["gather"])
         inputs = golden_inputs("gather")
         expected = run_affine(module, func_name, inputs)
-        kernel = CBackend().compile(module, func_name, cache=False)
+        kernel = CBackend().compile(module, func_name)
         got = kernel.run(inputs)
         np.testing.assert_array_equal(got["c"], expected["c"])
 

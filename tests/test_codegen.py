@@ -248,12 +248,19 @@ class TestCompilerMechanics:
         assert "for " in compiled.source  # the reduced axis stays a loop
 
     def test_compile_cache_reuses_kernels(self):
+        # The session's execute stage is the kernel cache; codegen itself
+        # compiles on every call.
+        from repro.pipeline import PipelineSession
+
+        session = PipelineSession()
+        inputs = {"a": np.arange(5.0), "b": np.ones(5)}
+        first = session.execute(ELEMENTWISE, inputs)
+        second = session.execute(ELEMENTWISE, inputs)
+        assert second.kernel is first.kernel
+        third = session.execute("".join(list(ELEMENTWISE)), inputs)
+        assert third.kernel is first.kernel  # content hash, not identity
         _, module = compile_raw(ELEMENTWISE)
-        first = compile_affine(module, "k")
-        second = compile_affine(module, "k")
-        assert first is second
-        third = compile_affine(module.clone(), "k")
-        assert third is first  # content hash, not object identity
+        assert compile_affine(module, "k") is not compile_affine(module, "k")
 
     def test_unsupported_op_falls_back_to_interpreter(self):
         module = Module()
@@ -269,7 +276,7 @@ class TestCompilerMechanics:
         builder = Builder.at_end(entry)
         builder.create("exotic.op", [], [])
         builder.create("func.return", [], [])
-        compiled = compile_affine(module, "odd", cache=False)
+        compiled = compile_affine(module, "odd")
         assert compiled.backend == "interpreter"
         assert compiled.source == ""
 
@@ -308,7 +315,7 @@ class TestCompilerMechanics:
         inner.create("affine.yield", [], [])
         builder.create("func.return", [], [])
         verify(module)
-        compiled = compile_affine(module, "countdown", cache=False)
+        compiled = compile_affine(module, "countdown")
         assert compiled.flops == 0
         got = compiled.run({})["y"]
         expected = run_affine(module, "countdown", {})["y"]

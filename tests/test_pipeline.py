@@ -458,6 +458,46 @@ class TestConcurrency:
         assert session.singleflight.waits == 5
         assert session.singleflight.leaders == 1
 
+    def test_single_flight_survives_immediate_eviction(self, monkeypatch):
+        import threading
+        import time
+
+        from repro.pipeline import cache as cache_mod
+
+        monkeypatch.setattr(cache_mod, "MAX_ENTRIES", 1)
+        session, calls, entered, release = self._session_with_gate()
+        store = session.cache.store
+
+        def store_then_filler(key, value):
+            # Another tenant stores right behind the leader: with room
+            # for one entry, the leader's result is evicted before its
+            # waiters are released.
+            store(key, value)
+            store("filler", None)
+
+        session.cache.store = store_then_filler
+        results = []
+
+        def run():
+            results.append(
+                session.run_stage("gated", "block", key="k")[1])
+
+        threads = [threading.Thread(target=run) for _ in range(6)]
+        for t in threads:
+            t.start()
+        assert entered.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while session.singleflight.waits < 5:
+            assert time.monotonic() < deadline
+        release.set()
+        for t in threads:
+            t.join(timeout=10)
+        assert calls == ["block"]
+        assert results == [("result", "block")] * 6
+        assert session.cache.stats.evictions == 1
+        assert len(session.cache) == 1
+        assert not session.cache.contains(session.stage_key("gated", {}, "k"))
+
     def test_distinct_keys_do_not_block_each_other(self):
         import threading
 
@@ -602,3 +642,157 @@ class TestConcurrency:
         assert a is not b
         a.key = "mutated"
         assert b.key != "mutated"
+
+
+class TestBoundedStore:
+    """A long-lived session (the ``basecamp serve`` daemon) stays bounded
+    under a stream of never-repeated kernels."""
+
+    @staticmethod
+    def _kernel(n):
+        return (f"kernel soak{n} {{\n  index i: 4\n  input a[i]: f64\n"
+                f"  output y\n  y = a * {n}.0 + 1.0\n}}\n")
+
+    def test_soak_cache_and_report_stay_bounded(self, monkeypatch):
+        import gc
+        import tracemalloc
+
+        import numpy as np
+
+        from repro.pipeline import cache as cache_mod
+        from repro.pipeline import report as report_mod
+
+        monkeypatch.setattr(cache_mod, "MAX_ENTRIES", 32)
+        monkeypatch.setattr(report_mod, "MAX_REPORT_EVENTS", 64)
+        session = PipelineSession()
+        record = session.report.record
+        recorded = []
+
+        def counting_record(stage, seconds, **kwargs):
+            if not kwargs.get("aux"):
+                recorded.append(stage)
+            return record(stage, seconds, **kwargs)
+
+        session.report.record = counting_record
+        inputs = {"a": np.arange(4.0)}
+
+        def run(kernels):
+            for n in kernels:
+                source = self._kernel(n)
+                session.compile(source)
+                result = session.execute(source, inputs)
+                assert result.outputs["y"].tolist() == \
+                    (np.arange(4.0) * n + 1.0).tolist()
+
+        run(range(0, 100))
+        tracemalloc.start()
+        try:
+            run(range(100, 200))
+            gc.collect()
+            middle = tracemalloc.get_traced_memory()[0]
+            run(range(200, 300))
+            gc.collect()
+            end = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # Unbounded, 100 more kernels would retain ~5 entries each
+        # (several MB); bounded, the resident set only turns over.
+        assert end - middle < 512 * 1024, end - middle
+        cache, report = session.cache, session.report
+        assert len(cache) <= 32
+        assert cache.stats.evictions > 0
+        assert len(report.events) <= 64
+        assert report.cache_hits + report.cache_misses == len(recorded)
+        assert report.cache_misses == cache.stats.misses
+
+    def test_concurrent_records_and_stores_lose_no_update(self,
+                                                          monkeypatch):
+        import sys
+        import threading
+
+        from repro.pipeline import cache as cache_mod
+        from repro.pipeline.cache import StageCache
+        from repro.pipeline.report import PipelineReport
+
+        monkeypatch.setattr(cache_mod, "MAX_ENTRIES", 16)
+        report, cache = PipelineReport(), StageCache()
+        workers, rounds = 8, 2000
+
+        def hammer(w):
+            for i in range(rounds):
+                report.record("s", 1.0, cached=i % 2 == 0)
+                cache.store(f"{w}/{i}", i)
+                cache.lookup(f"{w}/{i}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(w,))
+                       for w in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        total = workers * rounds
+        assert report.cache_hits == report.cache_misses == total // 2
+        assert report.total_seconds == total
+        assert report.stage_seconds() == {"s": total / 2}
+        assert len(cache) == 16
+        assert cache.stats.evictions == total - 16
+        assert cache.stats.lookups == total
+
+    def test_serve_threads_and_fds_stay_flat(self, monkeypatch):
+        import json
+        import os
+        import threading
+        import time
+        import urllib.request
+
+        from repro.basecamp.serve import BasecampServer
+        from repro.pipeline import cache as cache_mod
+
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs /proc/self/fd")
+        monkeypatch.setattr(cache_mod, "MAX_ENTRIES", 32)
+        server = BasecampServer(port=0, session=PipelineSession()).start()
+
+        def post(endpoint, payload):
+            request = urllib.request.Request(
+                f"{server.url}/{endpoint}",
+                data=json.dumps(payload).encode("utf-8"),
+                headers={"Content-Type": "application/json"})
+            with urllib.request.urlopen(request, timeout=30) as response:
+                assert response.status == 200
+
+        def run(kernels):
+            for n in kernels:
+                source = self._kernel(n)
+                post("compile", {"source": source})
+                post("execute", {"source": source, "random_seed": 0})
+
+        def settled():
+            # Connection threads exit just after their reply is read.
+            deadline = time.monotonic() + 10
+            counts = None
+            while time.monotonic() < deadline:
+                now = (threading.active_count(),
+                       len(os.listdir("/proc/self/fd")))
+                if now == counts:
+                    return now
+                counts = now
+                time.sleep(0.05)
+            return counts
+
+        try:
+            run(range(20))
+            threads, fds = settled()
+            run(range(20, 120))
+            threads_after, fds_after = settled()
+            assert server.service.session.cache.stats.evictions > 0
+        finally:
+            server.shutdown()
+        assert threads_after <= threads + 1
+        assert fds_after <= fds + 1

@@ -187,6 +187,7 @@ class TestService:
         assert stats["server"]["requests"] == 1
         assert stats["server"]["ok"] == 1
         assert stats["cache"]["entries"] > 0
+        assert stats["cache"]["evictions"] == 0
         assert {"leaders", "waits"} == set(stats["singleflight"])
 
 
@@ -231,6 +232,47 @@ class TestHTTP:
                                 "jobs": "abc"})
         assert status == 400
         assert "jobs must be an integer" in body["error"]
+
+    @pytest.mark.parametrize("endpoint, fields", [
+        ("runtime", {"nodes": "abc"}),
+        ("runtime", {"nodes": None}),
+        ("runtime", {"nodes": True}),
+        ("runtime", {"nodes": 0}),
+        ("runtime", {"tasks": "abc"}),
+        ("runtime", {"tasks": None}),
+        ("runtime", {"tasks": -1}),
+        ("runtime", {"seed": "abc"}),
+        ("runtime", {"seed": None}),
+        ("runtime", {"fpga_fraction": "x"}),
+        ("runtime", {"fpga_fraction": None}),
+        ("compile", {"source": ADD, "number_format": 5}),
+        ("compile", {"source": ADD, "number_format": ["f32"]}),
+        ("compile", {"source": ADD, "opt_level": True}),
+        ("execute", {"source": ADD, "random_seed": "abc"}),
+        ("execute", {"source": ADD, "random_seed": 1.5}),
+        ("execute", {"source": ADD, "random_seed": -1}),
+        ("execute", {"source": ADD, "random_seed": True}),
+        ("execute", {"source": ADD, "inputs": {"a": "zz", "b": [1.0] * 6}}),
+        ("execute", {"source": ADD,
+                     "inputs": {"a": [[1.0], [1.0, 2.0]], "b": [1.0] * 6}}),
+        ("execute", {"source": ADD, "random_seed": 0, "opt_level": False}),
+    ])
+    def test_malformed_fields_map_to_400_and_reconcile(self, server,
+                                                       endpoint, fields):
+        # Regression: these raised ValueError/TypeError/AttributeError,
+        # came back as HTTP 500 and were counted in neither ok nor errors.
+        status, body, _ = post(server.url, endpoint, fields)
+        assert status == 400, body
+        assert "error" in body
+        with urllib.request.urlopen(f"{server.url}/metrics",
+                                    timeout=30) as response:
+            text = response.read().decode("utf-8")
+        observed = sum(
+            float(line.rsplit(" ", 1)[1]) for line in text.splitlines()
+            if line.startswith("basecamp_request_seconds_count"))
+        _, stats = get(server.url, "/stats")
+        assert observed == stats["server"]["ok"] + stats["server"]["errors"]
+        assert stats["server"]["errors"] == 1
 
     def test_cache_shared_across_requests(self, server):
         status, first, _ = post(server.url, "compile", {"source": ADD})

@@ -435,6 +435,9 @@ class TestServeTelemetry:
                     return json.loads(resp.read())
 
             post("compile", {"source": ADD})
+            # An execute resolves the executor backends, which register
+            # their process-global metrics.
+            post("execute", {"source": ADD, "random_seed": 0})
             with urllib.request.urlopen(f"{server.url}/metrics",
                                         timeout=30) as response:
                 assert response.status == 200
@@ -446,7 +449,8 @@ class TestServeTelemetry:
         _prometheus_parse_check(text)
         assert 'basecamp_requests_total{endpoint="compile"} 1' in text
         assert "basecamp_active_requests" in text
-        assert "repro_codegen_cache_total" in text  # global registry too
+        assert "basecamp_cache_evictions 0" in text
+        assert "repro_cbackend_cc_total" in text  # global registry too
 
     def test_request_span_tree_and_span_id_echo(self):
         tracer = enable()
@@ -548,12 +552,13 @@ class TestLogging:
 
 class TestGlobalRegistryInstrumentation:
     def test_codegen_cache_counter_moves(self):
-        from repro.tensorpipe.codegen import compile_numpy
-
-        counter = get_registry().counter(
-            "repro_codegen_cache_total",
-            "Executor compile-cache lookups by result", ("result",))
-        before = counter.total()
-        PipelineSession().execute(ADD, {"a": [1.0] * 6, "b": [2.0] * 6})
-        assert compile_numpy is not None  # the instrumented entry point
-        assert counter.total() > before
+        # Kernel caching is the session's stage cache: its counters (the
+        # serve cache_* gauges) move, a miss per stage and then a hit.
+        session = PipelineSession()
+        inputs = {"a": [1.0] * 6, "b": [2.0] * 6}
+        session.execute(ADD, inputs)
+        stats = session.cache.stats
+        misses, hits = stats.misses, stats.hits
+        assert misses > 0 and len(session.cache) == misses
+        session.execute(ADD, inputs)
+        assert stats.misses == misses and stats.hits > hits
